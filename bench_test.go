@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"serfi/internal/campaign"
+	"serfi/internal/cc"
 	"serfi/internal/exp"
 	"serfi/internal/fault"
 	"serfi/internal/fi"
@@ -158,22 +159,50 @@ func BenchmarkSimulatorMIPS(b *testing.B) {
 	}
 }
 
-// BenchmarkInjection measures the cost of one full injection run (build
-// machine, run to completion under the Hang budget, classify).
-func BenchmarkInjection(b *testing.B) {
-	sc := npb.Scenario{App: "EP", Mode: npb.Serial, ISA: "armv8", Cores: 1}
+// benchGolden builds a scenario, runs its golden reference and returns the
+// paper's register fault domain over it.
+func benchGolden(b *testing.B, sc npb.Scenario) (*cc.Image, mach.Config, *fi.Golden, fault.Domain) {
+	b.Helper()
 	img, cfg, err := npb.BuildScenario(sc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	faults := fi.FaultList(3, 64, g, cfg.ISA.Feat(), cfg.Cores)
+	d, err := fi.NewDomain(fault.Reg, img, cfg, g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return img, cfg, g, d
+}
+
+// benchCheckpoints builds a checkpoint set for benchmarks.
+func benchCheckpoints(b *testing.B, img *cc.Image, cfg mach.Config, g *fi.Golden, opt fi.CheckpointOptions) *fi.CheckpointSet {
+	b.Helper()
+	cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cs
+}
+
+// snapInject runs one fault through a checkpoint set; a background context
+// never cancels, so the error is always nil.
+func snapInject(cs *fi.CheckpointSet, d fault.Domain, g *fi.Golden, f fi.Fault) fi.Result {
+	r, _ := cs.InjectPointContext(context.Background(), d, g, f)
+	return r
+}
+
+// BenchmarkInjection measures the cost of one full injection run (build
+// machine, run to completion under the Hang budget, classify).
+func BenchmarkInjection(b *testing.B) {
+	img, cfg, g, d := benchGolden(b, npb.Scenario{App: "EP", Mode: npb.Serial, ISA: "armv8", Cores: 1})
+	faults := fi.List(3, 64, d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = fi.Inject(img, cfg, g, faults[i%len(faults)])
+		_ = fi.InjectDomain(img, cfg, g, d, faults[i%len(faults)])
 	}
 }
 
@@ -181,22 +210,11 @@ func BenchmarkInjection(b *testing.B) {
 // injection-engine benchmarks below.
 func benchInjectionSetup(b *testing.B) (*fi.Golden, []fi.Fault, func(fi.Fault) fi.Result, func(fi.Fault) fi.Result, *fi.CheckpointSet) {
 	b.Helper()
-	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	faults := fi.FaultList(3, 64, g, cfg.ISA.Feat(), cfg.Cores)
-	cs, err := fi.BuildCheckpoints(img, cfg, g, fi.DefaultCheckpoints)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reset := func(f fi.Fault) fi.Result { return fi.Inject(img, cfg, g, f) }
-	snap := func(f fi.Fault) fi.Result { return cs.Inject(g, f) }
+	img, cfg, g, d := benchGolden(b, npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1})
+	faults := fi.List(3, 64, d)
+	cs := benchCheckpoints(b, img, cfg, g, fi.CheckpointOptions{N: fi.DefaultCheckpoints})
+	reset := func(f fi.Fault) fi.Result { return fi.InjectDomain(img, cfg, g, d, f) }
+	snap := func(f fi.Fault) fi.Result { return snapInject(cs, d, g, f) }
 	return g, faults, reset, snap, cs
 }
 
@@ -239,24 +257,12 @@ func BenchmarkInjectSnapshot(b *testing.B) {
 // match BenchmarkInjectSnapshot exactly: the delta encoding changes
 // restore cost and resident bytes, never what gets simulated.
 func BenchmarkInjectSnapshotFullCopy(b *testing.B) {
-	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	faults := fi.FaultList(3, 64, g, cfg.ISA.Feat(), cfg.Cores)
-	cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g,
-		fi.CheckpointOptions{N: fi.DefaultCheckpoints, FullCopy: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	img, cfg, g, d := benchGolden(b, npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1})
+	faults := fi.List(3, 64, d)
+	cs := benchCheckpoints(b, img, cfg, g, fi.CheckpointOptions{N: fi.DefaultCheckpoints, FullCopy: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cs.Inject(g, faults[i%len(faults)])
+		_ = snapInject(cs, d, g, faults[i%len(faults)])
 	}
 	b.StopTimer()
 	executed, _ := cs.SimulatedInstructions()
@@ -410,11 +416,12 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	n := benchFaults()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := campaign.Run(campaign.Spec{Scenario: sc, Faults: n, Seed: int64(i)})
+		res, err := campaign.New(campaign.Faults(n)).
+			RunMatrix(context.Background(), []campaign.ScenarioJob{{Scenario: sc, Seed: int64(i)}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.Counts.Total() != n {
+		if res[0].Counts.Total() != n {
 			b.Fatal("missing classifications")
 		}
 	}
@@ -437,26 +444,11 @@ func ExampleFigure1() {
 // snapshot injections plus the boundary comparisons is the expected cost
 // per traced (i.e. unmasked) run; masked runs are never traced.
 func BenchmarkPropTrace(b *testing.B) {
-	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := fi.NewDomain(fault.Reg, img, cfg, g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cs, err := fi.BuildCheckpoints(img, cfg, g, fi.DefaultCheckpoints)
-	if err != nil {
-		b.Fatal(err)
-	}
+	img, cfg, g, d := benchGolden(b, npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1})
+	cs := benchCheckpoints(b, img, cfg, g, fi.CheckpointOptions{N: fi.DefaultCheckpoints})
 	var unmasked []fi.Fault
 	for _, f := range fi.List(99, 16, d) {
-		if r := cs.InjectPoint(d, g, f); r.Outcome != fi.Vanished && r.Outcome != fi.ONA {
+		if r := snapInject(cs, d, g, f); r.Outcome != fi.Vanished && r.Outcome != fi.ONA {
 			unmasked = append(unmasked, f)
 		}
 	}

@@ -208,7 +208,7 @@ func cmdGolden(args []string) error {
 	if err != nil {
 		return err
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		return err
 	}
@@ -856,7 +856,7 @@ func cmdStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		return err
 	}
@@ -887,8 +887,8 @@ func cmdProfile(args []string) error {
 		return err
 	}
 	cfg.Profile = true
-	cfg.SamplePeriod = 97
-	g, err := fi.RunGolden(img, cfg, 0)
+	cfg.SamplePeriod = campaign.DefaultSamplePeriod
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		return err
 	}

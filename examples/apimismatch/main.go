@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,11 +20,12 @@ func main() {
 	const faults = 40
 	run := func(mode npb.Mode) *campaign.Result {
 		sc := npb.Scenario{App: "CG", Mode: mode, ISA: "armv8", Cores: 4}
-		res, err := campaign.Run(campaign.Spec{Scenario: sc, Faults: faults, Seed: 23})
+		res, err := campaign.New(campaign.Faults(faults)).
+			RunMatrix(context.Background(), []campaign.ScenarioJob{{Scenario: sc, Seed: 23}})
 		if err != nil {
 			log.Fatal(err)
 		}
-		return res
+		return res[0]
 	}
 	omp := run(npb.OMP)
 	mpi := run(npb.MPI)

@@ -14,6 +14,7 @@ import (
 	"os/signal"
 
 	"serfi/internal/campaign"
+	"serfi/internal/fault"
 	"serfi/internal/fi"
 	"serfi/internal/npb"
 )
@@ -69,17 +70,21 @@ func main() {
 	}
 	fmt.Printf("masking rate: %.1f%%\n", 100*res.Counts.Masking())
 
-	// Every run is replayable: the first fault again, same outcome.
-	img, cfg, err := npb.BuildScenario(sc)
+	// Every run is replayable: prepare the scenario again the way the
+	// engine does, redraw the fault list and re-inject the first fault.
+	prep, err := campaign.Prepare(ctx, sc, fi.CheckpointOptions{}, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := fi.RunGoldenContext(ctx, img, cfg, 0)
+	defer prep.Close()
+	d, faults, err := prep.Faults(fault.Reg, 7, res.Faults)
 	if err != nil {
 		log.Fatal(err)
 	}
-	f := res.Runs[0].Fault
-	again := fi.Inject(img, cfg, g, f)
+	again, err := prep.Inject(ctx, d, faults, 0, 1, false)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nreplay %s -> %s (first campaign run said %s)\n",
-		f, again.Outcome, res.Runs[0].Outcome)
+		faults[0], again.Runs[0].Outcome, res.Runs[0].Outcome)
 }

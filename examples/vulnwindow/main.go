@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 	}
 	cfg.Profile = true
 	cfg.SamplePeriod = 53
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

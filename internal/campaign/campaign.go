@@ -12,9 +12,9 @@
 // Progress is a typed event stream (events.go) consumed live by CLIs or
 // folded into summaries by a Collector. Completed campaigns land in a
 // Store (store.go) — a queryable results database whose pre-loaded keys
-// double as the resume set; the JSONL file is the first backend. The flat
-// entry points (Run, RunAll, RunMatrix(MatrixSpec), ReadDB/LoadDB/SaveDB)
-// predate the Engine and remain as thin shims over it.
+// double as the resume set; the JSONL file is the first backend. Both the
+// Engine and the distributed worker (internal/dist) prepare scenarios and
+// inject fault ranges through Prepare (prepare.go).
 package campaign
 
 import (
@@ -32,27 +32,6 @@ import (
 	"serfi/internal/profile"
 	"serfi/internal/prop"
 )
-
-// Spec describes one scenario campaign.
-type Spec struct {
-	Scenario npb.Scenario
-	// Domain selects the fault model (zero value: the paper's register
-	// single-bit-upset domain).
-	Domain fault.Model
-	Faults int
-	Seed   int64
-	// JobSize groups faults into jobs (the paper batches simulations per
-	// HPC job to amortize scheduling); 0 picks a sensible default.
-	JobSize int
-	// Workers bounds parallel jobs; 0 = GOMAXPROCS.
-	Workers int
-	// Snapshots is the checkpoint count for snapshot-accelerated injection:
-	// 0 picks fi.DefaultCheckpoints, negative runs every fault from reset.
-	// Outcome counts are bit-identical in both modes.
-	Snapshots int
-	// SamplePeriod for the golden profiling run.
-	SamplePeriod uint64
-}
 
 // Result is the scenario-level record: outcome distribution + golden
 // profile features, i.e. one row of the paper's cross-layer database.
@@ -256,35 +235,6 @@ type GoldenSummary struct {
 	Cycles   uint64
 }
 
-// Run executes all four workflow phases for one scenario on the shared
-// matrix scheduler.
-func Run(spec Spec) (*Result, error) {
-	results, err := RunMatrix(MatrixSpec{
-		Jobs:         []ScenarioJob{{Scenario: spec.Scenario, Domain: spec.Domain, Seed: spec.Seed}},
-		Faults:       spec.Faults,
-		Workers:      spec.Workers,
-		JobSize:      spec.JobSize,
-		Snapshots:    spec.Snapshots,
-		SamplePeriod: spec.SamplePeriod,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
-// RunAll executes campaigns for several scenarios on the shared scheduler,
-// interleaving golden runs and injection jobs across scenarios. Scenario i
-// draws its fault list from seed+i, matching the historical sequential
-// behavior; results come back in input order.
-func RunAll(scs []npb.Scenario, faults int, seed int64, progress func(*Result)) ([]*Result, error) {
-	jobs := make([]ScenarioJob, len(scs))
-	for i, sc := range scs {
-		jobs[i] = ScenarioJob{Scenario: sc, Seed: seed + int64(i)}
-	}
-	return RunMatrix(MatrixSpec{Jobs: jobs, Faults: faults, Progress: progress})
-}
-
 // recordVersion is the current database row format. Rows written before
 // the fault-domain axis carry no "v" field and parse as the implicit
 // version 1: a register-domain campaign. recordVersionProp marks rows that
@@ -439,15 +389,10 @@ func WriteDB(w io.Writer, results []*Result) error {
 	return nil
 }
 
-// SaveDB writes the database to a file path.
-func SaveDB(path string, results []*Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return WriteDB(f, results)
-}
+// maxRowBytes bounds one database row on read. v4 rows carry one compact
+// run row per fault (about 130 bytes each), so the bound must sit far
+// above the paper's 8000 faults per campaign.
+const maxRowBytes = 64 << 20
 
 // ReadDB parses a JSONL database back into per-campaign results, keyed by
 // Key (scenario ID, domain-qualified for non-register domains). Legacy rows
@@ -463,7 +408,7 @@ func SaveDB(path string, results []*Result) error {
 func ReadDB(r io.Reader) (map[string]*Result, error) {
 	out := make(map[string]*Result)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), maxRowBytes)
 	line := 0
 	for sc.Scan() {
 		line++

@@ -2,6 +2,7 @@ package campaign_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -11,16 +12,22 @@ import (
 	"serfi/internal/npb"
 )
 
-func TestCampaignEndToEnd(t *testing.T) {
-	spec := campaign.Spec{
-		Scenario: npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1},
-		Faults:   16,
-		Seed:     99,
-	}
-	r, err := campaign.Run(spec)
+// runOne runs one campaign through a fresh Engine built from opts.
+func runOne(t *testing.T, job campaign.ScenarioJob, opts ...campaign.Option) *campaign.Result {
+	t.Helper()
+	results, err := campaign.New(opts...).RunMatrix(context.Background(), []campaign.ScenarioJob{job})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(results) != 1 || results[0] == nil {
+		t.Fatalf("got %d results", len(results))
+	}
+	return results[0]
+}
+
+func TestCampaignEndToEnd(t *testing.T) {
+	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
+	r := runOne(t, campaign.ScenarioJob{Scenario: sc, Seed: 99}, campaign.Faults(16))
 	if r.Counts.Total() != 16 {
 		t.Fatalf("classified %d of 16", r.Counts.Total())
 	}
@@ -50,14 +57,8 @@ func TestCampaignEndToEnd(t *testing.T) {
 // TestRegCampaignGoldenCompatV7 pins the ARMv7 register campaign against
 // the outcome distribution captured before the fault-domain subsystem.
 func TestRegCampaignGoldenCompatV7(t *testing.T) {
-	r, err := campaign.Run(campaign.Spec{
-		Scenario: npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv7", Cores: 1},
-		Faults:   12,
-		Seed:     2018,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv7", Cores: 1}
+	r := runOne(t, campaign.ScenarioJob{Scenario: sc, Seed: 2018}, campaign.Faults(12))
 	if want := (fi.Counts{9, 0, 1, 2, 0}); r.Counts != want {
 		t.Errorf("v7 register campaign drifted from pre-domain golden: %v, want %v", r.Counts, want)
 	}
@@ -66,10 +67,8 @@ func TestRegCampaignGoldenCompatV7(t *testing.T) {
 func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 	sc := npb.Scenario{App: "EP", Mode: npb.Serial, ISA: "armv8", Cores: 1}
 	run := func(workers int) fi.Counts {
-		r, err := campaign.Run(campaign.Spec{Scenario: sc, Faults: 12, Seed: 5, Workers: workers, JobSize: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := runOne(t, campaign.ScenarioJob{Scenario: sc, Seed: 5},
+			campaign.Faults(12), campaign.Workers(workers), campaign.JobSize(3))
 		return r.Counts
 	}
 	if run(1) != run(2) {
@@ -79,10 +78,7 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestCampaignDBFormat(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
-	r, err := campaign.Run(campaign.Spec{Scenario: sc, Faults: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runOne(t, campaign.ScenarioJob{Scenario: sc, Seed: 1}, campaign.Faults(4))
 	var buf bytes.Buffer
 	if err := campaign.WriteDB(&buf, []*campaign.Result{r}); err != nil {
 		t.Fatal(err)
@@ -101,14 +97,8 @@ func TestCampaignDBFormat(t *testing.T) {
 func TestMemCampaignDeterministic(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
 	run := func(workers, snapshots int) *campaign.Result {
-		r, err := campaign.Run(campaign.Spec{
-			Scenario: sc, Domain: fault.Mem, Faults: 6, Seed: 21,
-			Workers: workers, JobSize: 2, Snapshots: snapshots,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+		return runOne(t, campaign.ScenarioJob{Scenario: sc, Domain: fault.Mem, Seed: 21},
+			campaign.Faults(6), campaign.Workers(workers), campaign.JobSize(2), campaign.Snapshots(snapshots))
 	}
 	ref := run(1, -1) // serial, from reset
 	if ref.Counts.Total() != 6 {
@@ -135,20 +125,14 @@ func TestMemCampaignDeterministic(t *testing.T) {
 
 func TestOMPCampaignHasAPIExposure(t *testing.T) {
 	sc := npb.Scenario{App: "EP", Mode: npb.OMP, ISA: "armv8", Cores: 2}
-	r, err := campaign.Run(campaign.Spec{Scenario: sc, Faults: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runOne(t, campaign.ScenarioJob{Scenario: sc, Seed: 3}, campaign.Faults(2))
 	if r.APICalls == 0 {
 		t.Error("OMP scenario shows no parallelization-API calls")
 	}
-	ser, err := campaign.Run(campaign.Spec{
+	ser := runOne(t, campaign.ScenarioJob{
 		Scenario: npb.Scenario{App: "EP", Mode: npb.Serial, ISA: "armv8", Cores: 1},
-		Faults:   2, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		Seed:     3,
+	}, campaign.Faults(2))
 	if ser.Features.APIWindow > r.Features.APIWindow {
 		t.Errorf("serial API window %.2f%% exceeds OMP %.2f%%",
 			ser.Features.APIWindow, r.Features.APIWindow)

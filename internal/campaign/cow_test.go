@@ -2,7 +2,6 @@ package campaign_test
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
 	"serfi/internal/campaign"
@@ -16,20 +15,13 @@ import (
 // bytes WriteDB would persist for it.
 func runCompat(t *testing.T, sc npb.Scenario, seed int64, faults int, opts ...campaign.Option) (*campaign.Result, []byte) {
 	t.Helper()
-	eng := campaign.New(append([]campaign.Option{campaign.Faults(faults)}, opts...)...)
-	jobs := []campaign.ScenarioJob{{Scenario: sc, Domain: fault.Reg, Seed: seed}}
-	results, err := eng.RunMatrix(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 || results[0] == nil {
-		t.Fatalf("got %d results", len(results))
-	}
+	r := runOne(t, campaign.ScenarioJob{Scenario: sc, Domain: fault.Reg, Seed: seed},
+		append([]campaign.Option{campaign.Faults(faults)}, opts...)...)
 	var buf bytes.Buffer
-	if err := campaign.WriteDB(&buf, results); err != nil {
+	if err := campaign.WriteDB(&buf, []*campaign.Result{r}); err != nil {
 		t.Fatal(err)
 	}
-	return results[0], buf.Bytes()
+	return r, buf.Bytes()
 }
 
 // TestCOWCheckpointsGoldenCompat is the PR's headline equivalence claim:

@@ -124,10 +124,9 @@ func storeImpls(t *testing.T) map[string]campaign.Store {
 	}
 	t.Cleanup(func() { ss.Close() })
 	return map[string]campaign.Store{
-		"mem":    campaign.NewMemStore(),
-		"file":   fs,
-		"stream": campaign.StreamStore(&bytes.Buffer{}, nil),
-		"seg":    ss,
+		"mem":  campaign.NewMemStore(),
+		"file": fs,
+		"seg":  ss,
 	}
 }
 
@@ -449,5 +448,64 @@ func TestRecordRunsDBRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
 		t.Error("write-read-rewrite is not byte-stable for v4 rows")
+	}
+}
+
+// TestFileStoreLargeRecordRunsRow: a v4 row far above 1 MiB — 40000
+// per-fault rows, about five times the paper's 8000 faults per scenario —
+// survives a FileStore reopen (the resume path) and re-writes byte for
+// byte.
+func TestFileStoreLargeRecordRunsRow(t *testing.T) {
+	const n = 40000
+	r := &campaign.Result{
+		Scenario:   npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1},
+		Domain:     fault.Mem,
+		Faults:     n,
+		Seed:       7,
+		RecordRuns: true,
+		Runs:       make([]fi.Result, n),
+	}
+	for i := range r.Runs {
+		o := fi.Outcome(i % int(fi.NumOutcomes))
+		r.Runs[i] = fi.Result{
+			Fault:   fault.Point{Domain: fault.Mem, Index: uint64(1000003 * i), Addr: uint32(0x40000 + 8*i), Bit: i % 64},
+			Outcome: o,
+		}
+		r.Counts.Add(o)
+	}
+	var want bytes.Buffer
+	if err := campaign.WriteDB(&want, []*campaign.Result{r}); err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() <= 1<<20 {
+		t.Fatalf("row is %d bytes; the case needs more than 1 MiB", want.Len())
+	}
+
+	path := t.TempDir() + "/db.jsonl"
+	st, err := campaign.OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := campaign.OpenFileStore(path)
+	if err != nil {
+		t.Fatalf("reopening a store with a %d-byte row: %v", want.Len(), err)
+	}
+	defer reopened.Close()
+	got, ok := reopened.Get(r.Key())
+	if !ok || len(got.Runs) != n {
+		t.Fatalf("large row did not reload: ok=%v", ok)
+	}
+	var again bytes.Buffer
+	if err := campaign.WriteDB(&again, []*campaign.Result{got}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want.Bytes()) {
+		t.Error("large v4 row is not byte-stable across a FileStore reopen")
 	}
 }

@@ -1,18 +1,17 @@
 // The campaign Engine: a constructed, reusable orchestrator around the
-// shared-worker-pool matrix scheduler. One Engine carries the tuning that
-// used to travel in MatrixSpec (workers, job size, snapshots, fault
-// models) as functional options; RunMatrix(ctx, jobs) threads the context
-// through every phase — golden runs, checkpoint fast-forwards and
-// injection job loops — so a campaign cancels promptly at job granularity
-// and returns partial results plus ctx.Err(). Progress is published as a
-// typed event stream (events.go) and completed campaigns land in a Store
-// (store.go), whose pre-loaded keys double as the resume set.
+// shared-worker-pool matrix scheduler. One Engine carries its tuning
+// (workers, job size, snapshots, fault models) as functional options;
+// RunMatrix(ctx, jobs) threads the context through every phase — golden
+// runs, checkpoint fast-forwards and injection job loops — so a campaign
+// cancels promptly at job granularity and returns partial results plus
+// ctx.Err(). Progress is published as a typed event stream (events.go)
+// and completed campaigns land in a Store (store.go), whose pre-loaded
+// keys double as the resume set.
 //
-// Scheduling is unchanged from the pre-Engine matrix scheduler: one worker
-// pool executes golden runs, checkpoint fast-forwards and batched
-// injection jobs as interleavable tasks; jobs for the same scenario under
-// several fault domains form one group whose fault-free work runs once,
-// each domain injecting through a counter-carrying CheckpointSet clone.
+// One worker pool executes scenario preparations (Prepare: golden run and
+// checkpoint fast-forward) and batched injection jobs as interleavable
+// tasks; jobs for the same scenario under several fault domains form one
+// group whose fault-free work runs once.
 package campaign
 
 import (
@@ -27,7 +26,6 @@ import (
 	"serfi/internal/fi"
 	"serfi/internal/npb"
 	"serfi/internal/obs"
-	"serfi/internal/profile"
 	"serfi/internal/prop"
 )
 
@@ -38,21 +36,20 @@ import (
 // one WithEvents channel need one consumer per run (see WithEvents), so
 // concurrent runs should use separate engines with separate channels.
 type Engine struct {
-	workers      int
-	jobSize      int
-	snapshots    int // campaign convention: 0 = default, negative = off
-	maxOpen      int
-	faults       int
-	samplePeriod uint64
-	models       []fault.Model
-	store        Store
-	events       chan<- Event
-	ckptSpill    string
-	fullCopy     bool
-	traceProp    bool
-	recordRuns   bool
-	metrics      *obs.Registry
-	tracer       *obs.Tracer
+	workers    int
+	jobSize    int
+	snapshots  int // campaign convention: 0 = default, negative = off
+	maxOpen    int
+	faults     int
+	models     []fault.Model
+	store      Store
+	events     chan<- Event
+	ckptSpill  string
+	fullCopy   bool
+	traceProp  bool
+	recordRuns bool
+	metrics    *obs.Registry
+	tracer     *obs.Tracer
 }
 
 // Option configures an Engine.
@@ -78,16 +75,6 @@ func MaxOpen(n int) Option { return func(e *Engine) { e.maxOpen = n } }
 // Faults sets the per-campaign fault count.
 func Faults(n int) Option { return func(e *Engine) { e.faults = n } }
 
-// DefaultSamplePeriod is the golden profiling sample period campaigns use
-// when the caller does not choose one. The distributed fabric's workers
-// share it, so a remote golden run profiles — and therefore records
-// Features — exactly like a local Engine run.
-const DefaultSamplePeriod = 97
-
-// SamplePeriod sets the golden profiling sample period; 0 picks
-// DefaultSamplePeriod.
-func SamplePeriod(p uint64) Option { return func(e *Engine) { e.samplePeriod = p } }
-
 // Models sets the fault domains JobsFor expands each scenario into; empty
 // (the default) means the paper's register domain only.
 func Models(ms ...fault.Model) Option {
@@ -101,13 +88,6 @@ func Models(ms ...fault.Model) Option {
 // "" (the default) keeps checkpoints in RAM. Results are bit-identical
 // either way.
 func CheckpointSpill(dir string) Option { return func(e *Engine) { e.ckptSpill = dir } }
-
-// FullCopySnapshots selects the pre-delta checkpoint engine: every
-// checkpoint is a complete sparse RAM copy and every injection runs on a
-// fresh machine. Retained as a differential-testing reference (the
-// COW-vs-full-copy analogue of the fast-path/slow-path interpreter split);
-// campaigns are bit-identical either way.
-func FullCopySnapshots() Option { return func(e *Engine) { e.fullCopy = true } }
 
 // TraceProp turns on fault-propagation tracing: every injection whose
 // outcome is not masked (Vanished/ONA) is re-run against a golden twin
@@ -215,23 +195,12 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 	if jobSize <= 0 {
 		jobSize = DefaultJobSize
 	}
-	snapshots := e.snapshots
-	if snapshots == 0 {
-		snapshots = fi.DefaultCheckpoints
-	}
-	if snapshots < 0 {
-		snapshots = 0
-	}
 	maxOpen := e.maxOpen
 	if maxOpen <= 0 {
 		maxOpen = workers
 		if maxOpen > 8 {
 			maxOpen = 8
 		}
-	}
-	samplePeriod := e.samplePeriod
-	if samplePeriod == 0 {
-		samplePeriod = DefaultSamplePeriod
 	}
 	faults := e.faults
 
@@ -284,18 +253,14 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 				}
 			}
 		}
-		if st.cs != nil {
-			st.cs.Close() // release the spill file, if any
+		if st.prep != nil {
+			st.prep.Close() // release the spill file, if any
 		}
 		if st.obsResident != 0 || st.obsSpilled != 0 {
 			em.ckptResident.Add(-float64(st.obsResident))
 			em.ckptSpilled.Add(-float64(st.obsSpilled))
 		}
-		st.cs = nil // drop checkpoint RAM before releasing the slot
-		st.tracer = nil
-		for _, ds := range st.domains {
-			ds.cs = nil
-		}
+		st.prep = nil // drop checkpoint RAM before releasing the slot
 		<-sem
 		open.Done()
 	}
@@ -313,43 +278,32 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 	}
 
 	assemble := func(st *scenarioState, ds *domainState) {
-		simulated, fromReset := ds.cs.SimulatedInstructions()
-		pruned, _ := ds.cs.PruneStats()
 		res := &Result{
 			Scenario:        ds.job.Scenario,
 			Domain:          ds.job.Domain,
 			Faults:          faults,
 			Seed:            ds.job.Seed,
-			GoldenWallSec:   st.goldenWall,
+			GoldenWallSec:   st.prep.GoldenWallSec,
 			CampaignWallSec: time.Since(st.t0).Seconds(),
 			JobWallSec:      time.Duration(ds.jobNanos.Load()).Seconds(),
 			JobSpans:        ds.takeSpans(),
-			Golden: GoldenSummary{
-				AppStart: st.g.AppStart,
-				AppEnd:   st.g.AppEnd,
-				Retired:  st.g.Retired,
-				Cycles:   st.g.Cycles,
-			},
-			Features:   st.features,
-			APICalls:   st.apiCalls,
-			Runs:       ds.runs,
-			Traces:     ds.traces,
-			Prop:       prop.Summarize(ds.traces),
-			RecordRuns: e.recordRuns,
-		}
-		if ds.cs.Len() > 0 {
-			// Meaningful only under snapshot acceleration; from-reset runs
-			// leave the observability fields zero.
-			res.SimulatedInstr = simulated
-			res.FromResetInstr = fromReset
-			res.PrunedRuns = int(pruned)
+			Golden:          st.prep.Summary(),
+			Features:        st.prep.Features,
+			APICalls:        st.prep.APICalls,
+			Runs:            ds.runs,
+			Traces:          ds.traces,
+			Prop:            prop.Summarize(ds.traces),
+			RecordRuns:      e.recordRuns,
+			SimulatedInstr:  ds.simulated.Load(),
+			FromResetInstr:  ds.fromReset.Load(),
+			PrunedRuns:      int(ds.pruned.Load()),
 		}
 		for _, r := range ds.runs {
 			res.Counts.Add(r.Outcome)
 		}
 		results[ds.idx] = res
 		em.campaigns.With("completed").Inc()
-		em.prunedRuns.Add(float64(pruned))
+		em.prunedRuns.Add(float64(res.PrunedRuns))
 		if e.store != nil || e.events != nil {
 			// One mutex serializes the store stream and the event order
 			// across completing workers, and guarantees the record is
@@ -387,87 +341,53 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 		assemble(st, ds)
 	}
 
-	golden := func(st *scenarioState) {
+	prepare := func(st *scenarioState) {
 		if err := ctx.Err(); err != nil {
 			closeGroup(st, err)
 			return
 		}
 		st.t0 = time.Now()
-		st.tid = e.tracer.TID(fmt.Sprintf("%s/%d", st.job.Scenario.ID(), st.job.Seed))
+		tid := e.tracer.TID(fmt.Sprintf("%s/%d", st.job.Scenario.ID(), st.job.Seed))
 		doms := make([]fault.Model, len(st.domains))
 		for i, ds := range st.domains {
 			doms[i] = ds.job.Domain
 		}
 		em.scenariosStarted.Inc()
 		e.emit(ScenarioStarted{Scenario: st.job.Scenario, Seed: st.job.Seed, Domains: doms})
-		endSpan := e.tracer.Start("build", "build", st.tid, nil)
-		img, cfg, err := npb.BuildScenario(st.job.Scenario)
-		endSpan()
-		if err != nil {
-			closeGroup(st, err)
-			return
-		}
-		gcfg := cfg
-		gcfg.Profile = true
-		gcfg.SamplePeriod = samplePeriod
-		endSpan = e.tracer.Start("golden", "golden", st.tid, nil)
-		st.g, err = fi.RunGoldenContext(ctx, img, gcfg, 0)
-		endSpan()
-		if err != nil {
-			closeGroup(st, err)
-			return
-		}
-		st.goldenWall = time.Since(st.t0).Seconds()
-		endSpan = e.tracer.Start("profile", "profile", st.tid, nil)
-		st.features = profile.Extract(img, st.g.Machine)
-		st.apiCalls = profile.Build(img, st.g.Machine).CallsTo(profile.RuntimePrefixes...)
-		endSpan()
-
-		endSpan = e.tracer.Start("checkpoint", "checkpoint", st.tid, nil)
-		st.cs, err = fi.BuildCheckpointsOpt(ctx, img, cfg, st.g, fi.CheckpointOptions{
-			N:        snapshots,
+		prep, err := Prepare(ctx, st.job.Scenario, fi.CheckpointOptions{
+			N:        e.snapshots,
 			SpillDir: e.ckptSpill,
 			FullCopy: e.fullCopy,
-		})
-		endSpan()
+		}, e.tracer, tid)
 		if err != nil {
 			closeGroup(st, err)
 			return
 		}
-		if e.traceProp {
-			st.tracer = prop.NewTracer(img, cfg, st.g, st.cs)
-		}
-		st.obsResident = st.cs.MemBytes()
-		st.obsSpilled = st.cs.SpilledBytes()
+		st.prep = prep
+		cs := prep.Checkpoints
+		st.obsResident = cs.MemBytes()
+		st.obsSpilled = cs.SpilledBytes()
 		em.goldensDone.Inc()
 		em.ckptResident.Add(float64(st.obsResident))
 		em.ckptSpilled.Add(float64(st.obsSpilled))
 		e.emit(GoldenDone{
-			Scenario: st.job.Scenario,
-			Seed:     st.job.Seed,
-			Golden: GoldenSummary{
-				AppStart: st.g.AppStart,
-				AppEnd:   st.g.AppEnd,
-				Retired:  st.g.Retired,
-				Cycles:   st.g.Cycles,
-			},
-			WallSec:                st.goldenWall,
-			Checkpoints:            st.cs.Len(),
-			CheckpointBytes:        st.cs.MemBytes(),
-			CheckpointSpilledBytes: st.cs.SpilledBytes(),
+			Scenario:               st.job.Scenario,
+			Seed:                   st.job.Seed,
+			Golden:                 prep.Summary(),
+			WallSec:                prep.GoldenWallSec,
+			Checkpoints:            cs.Len(),
+			CheckpointBytes:        st.obsResident,
+			CheckpointSpilledBytes: st.obsSpilled,
 		})
 		// Arm every domain campaign of the group before any finishes: all
-		// share the golden reference and the captured snapshots, each
-		// injects through its own counter-carrying clone.
+		// share the prepared golden reference and snapshots.
 		st.openDomains.Store(int64(len(st.domains)))
 		for _, ds := range st.domains {
-			ds.dom, err = fi.NewDomain(ds.job.Domain, img, cfg, st.g)
+			ds.dom, ds.faults, err = prep.Faults(ds.job.Domain, ds.job.Seed, faults)
 			if err != nil {
 				domainDone(st, ds, err)
 				continue
 			}
-			ds.faults = fi.List(ds.job.Seed, faults, ds.dom)
-			ds.cs = st.cs.Clone()
 			ds.runs = make([]fi.Result, len(ds.faults))
 			if e.traceProp {
 				ds.traces = make([]*prop.Trace, len(ds.faults))
@@ -478,10 +398,7 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 			}
 			ds.remaining.Store(int64(len(ds.faults)))
 			for lo := 0; lo < len(ds.faults); lo += jobSize {
-				hi := lo + jobSize
-				if hi > len(ds.faults) {
-					hi = len(ds.faults)
-				}
+				hi := min(lo+jobSize, len(ds.faults))
 				ds, lo, hi := ds, lo, hi
 				em.jobsQueued.Inc()
 				tasks <- func() {
@@ -489,38 +406,32 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 						ds.cancelled.Store(true)
 					} else {
 						em.jobsRunning.Add(1)
-						endSpan := e.tracer.Start(fmt.Sprintf("inject [%d,%d)", lo, hi), "inject", st.tid,
+						endSpan := e.tracer.Start(fmt.Sprintf("inject [%d,%d)", lo, hi), "inject", tid,
 							map[string]string{"campaign": ds.job.Key()})
 						jt0 := time.Now()
-						aborted := false
-						for i := lo; i < hi; i++ {
-							r, err := ds.cs.InjectPointContext(ctx, ds.dom, st.g, ds.faults[i])
-							if err != nil {
-								ds.cancelled.Store(true)
-								aborted = true
-								break
-							}
-							ds.runs[i] = r
-							if ds.traces != nil && r.Outcome != fi.Vanished && r.Outcome != fi.ONA {
-								tr, _, terr := st.tracer.Trace(ds.dom, ds.faults[i])
-								if terr != nil {
-									ds.noteTraceErr(terr)
-									aborted = true
-									break
-								}
-								ds.traces[i] = &tr
-							}
-						}
+						b, err := prep.Inject(ctx, ds.dom, ds.faults, lo, hi, e.traceProp)
 						span := time.Since(jt0)
 						endSpan()
 						em.jobsRunning.Add(-1)
-						if !aborted {
+						switch {
+						case cancelledBy(ctx, err):
+							ds.cancelled.Store(true)
+						case err != nil:
+							ds.noteTraceErr(err)
+						default:
+							copy(ds.runs[lo:hi], b.Runs)
+							if ds.traces != nil {
+								copy(ds.traces[lo:hi], b.Traces)
+							}
+							ds.simulated.Add(b.SimulatedInstr)
+							ds.fromReset.Add(b.FromResetInstr)
+							ds.pruned.Add(int64(b.PrunedRuns))
 							em.jobsDone.Inc()
 							// Outcome counters update in one batch per job,
 							// tallied locally first.
 							tally := map[string]int{}
-							for i := lo; i < hi; i++ {
-								tally[ds.runs[i].Outcome.String()]++
+							for _, r := range b.Runs {
+								tally[r.Outcome.String()]++
 							}
 							for o, n := range tally {
 								em.injections.With(o).Add(float64(n))
@@ -595,7 +506,7 @@ feed:
 		}
 		open.Add(1)
 		st := st
-		tasks <- func() { golden(st) }
+		tasks <- func() { prepare(st) }
 	}
 	open.Wait()
 	close(tasks)

@@ -207,9 +207,8 @@ func TestEngineCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestEngineStoreSkipMatchesLegacySkip: an engine with a pre-loaded
-// FileStore behaves exactly like the legacy Skip map — stored campaigns
-// come back in place, fresh ones append to the file.
+// TestEngineFileStoreResume: an engine over a reopened FileStore answers
+// the stored campaigns in place and appends fresh ones to the file.
 func TestEngineFileStoreResume(t *testing.T) {
 	jobs := matrixJobs()
 	path := t.TempDir() + "/db.jsonl"

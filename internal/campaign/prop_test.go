@@ -94,14 +94,8 @@ func TestTracePropCampaign(t *testing.T) {
 func TestCacheCampaignDeterministic(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
 	run := func(workers, snapshots int) *campaign.Result {
-		r, err := campaign.Run(campaign.Spec{
-			Scenario: sc, Domain: fault.CacheTag, Faults: 6, Seed: 31,
-			Workers: workers, JobSize: 2, Snapshots: snapshots,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+		return runOne(t, campaign.ScenarioJob{Scenario: sc, Domain: fault.CacheTag, Seed: 31},
+			campaign.Faults(6), campaign.Workers(workers), campaign.JobSize(2), campaign.Snapshots(snapshots))
 	}
 	ref := run(1, -1) // serial, from reset
 	if ref.Counts.Total() != 6 {

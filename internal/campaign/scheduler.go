@@ -1,13 +1,8 @@
-// Legacy matrix-scheduler entry points, kept as thin shims over the Engine
-// (engine.go) so pre-Engine callers and the golden-compat/determinism
-// tests keep their exact behavior: RunMatrix(MatrixSpec) is New(opts...).
-// RunMatrix(context.Background(), jobs) with the spec's DB/Skip/Progress
-// trio adapted onto the Store interface.
+// Scheduler bookkeeping of the Engine (engine.go): the job identity and
+// the per-group and per-domain state its tasks share.
 package campaign
 
 import (
-	"context"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,7 +10,6 @@ import (
 	"serfi/internal/fault"
 	"serfi/internal/fi"
 	"serfi/internal/npb"
-	"serfi/internal/profile"
 	"serfi/internal/prop"
 )
 
@@ -37,68 +31,10 @@ type ScenarioJob struct {
 // Key returns the job's database identity.
 func (j ScenarioJob) Key() string { return Key(j.Scenario, j.Domain) }
 
-// MatrixSpec configures a multi-scenario campaign for the legacy RunMatrix
-// entry point. New code should construct an Engine instead: every field
-// maps onto an Engine option (Workers, JobSize, Snapshots, MaxOpen,
-// SamplePeriod, Faults), DB+Skip onto WithStore, and Progress onto the
-// typed event stream.
-type MatrixSpec struct {
-	Jobs   []ScenarioJob
-	Faults int
-	// Workers bounds the host worker pool; 0 = GOMAXPROCS.
-	Workers int
-	// JobSize groups faults into injection tasks; 0 = DefaultJobSize.
-	JobSize int
-	// Snapshots is the per-scenario checkpoint count: 0 picks
-	// fi.DefaultCheckpoints, negative disables snapshots (every injection
-	// re-executes from reset). Outcome counts are bit-identical either way.
-	Snapshots int
-	// MaxOpen bounds how many scenarios may hold golden state and
-	// checkpoints at once (memory backpressure); 0 picks a default.
-	MaxOpen int
-	// SamplePeriod for the golden profiling runs; 0 picks a default.
-	SamplePeriod uint64
-	// DB, when set, receives one JSONL record per finished scenario, in
-	// completion order, each line written atomically.
-	DB io.Writer
-	// Skip maps campaign keys (campaign.Key: scenario ID, domain-qualified
-	// for non-register domains) to already-completed results loaded from an
-	// interrupted run's database; matching jobs are not re-executed and
-	// their prior results are returned in place.
-	Skip map[string]*Result
-	// Progress, when set, is called once per freshly completed scenario
-	// (not for skipped ones). Calls are serialized by the scheduler, so
-	// the callback may mutate caller state without locking.
-	Progress func(*Result)
-}
-
-// RunMatrix executes every scenario job through the shared scheduler and
-// returns results in job order. On error the first failure (in job order) is
-// reported; unaffected scenarios still complete and are returned.
-//
-// Deprecated-style shim: this is Engine.RunMatrix with a background
-// context; build an Engine for cancellation, typed events and Store-backed
-// resume.
-func RunMatrix(spec MatrixSpec) ([]*Result, error) {
-	eng := New(
-		Workers(spec.Workers),
-		JobSize(spec.JobSize),
-		Snapshots(spec.Snapshots),
-		MaxOpen(spec.MaxOpen),
-		SamplePeriod(spec.SamplePeriod),
-		Faults(spec.Faults),
-	)
-	if spec.DB != nil || spec.Skip != nil || spec.Progress != nil {
-		eng.store = &streamStore{w: spec.DB, skip: spec.Skip, progress: spec.Progress}
-	}
-	return eng.RunMatrix(context.Background(), spec.Jobs)
-}
-
 // domainState tracks one (scenario, domain) campaign within its group.
 type domainState struct {
 	idx    int // index into the jobs / results slices
 	job    ScenarioJob
-	cs     *fi.CheckpointSet // clone sharing the group's snapshots, own counters
 	dom    fault.Domain
 	faults []fi.Fault
 	runs   []fi.Result
@@ -111,6 +47,11 @@ type domainState struct {
 	done      atomic.Int64 // injection runs finished (JobDone progress)
 	jobNanos  atomic.Int64 // summed host wall clock of completed jobs
 	cancelled atomic.Bool  // some injection job was abandoned by ctx
+
+	// Snapshot telemetry summed over completed jobs (Batch fields).
+	simulated atomic.Uint64
+	fromReset atomic.Uint64
+	pruned    atomic.Int64
 
 	spanMu sync.Mutex
 	spans  []JobSpan // per-job spans of completed jobs (behind JobWallSec)
@@ -155,25 +96,17 @@ func (ds *domainState) takeSpans() []JobSpan {
 
 // scenarioState tracks one open scenario group — every domain campaign of
 // one (scenario, seed) pair — across its scheduler tasks. The fault-free
-// work (image build, golden run, profiling, checkpoint fast-forward) runs
-// once per group and is shared by all of its domains.
+// work (Prepare) runs once per group and is shared by all of its domains.
 type scenarioState struct {
 	job     ScenarioJob // scenario+seed of the group
 	domains []*domainState
-	g       *fi.Golden
-	cs      *fi.CheckpointSet // base set; domains inject through clones
-	tracer  *prop.Tracer      // propagation tracer over the group's snapshots (nil when off)
+	prep    *Prepared
 
 	openDomains atomic.Int64 // domain campaigns still running
 	t0          time.Time
-	goldenWall  float64
-	apiCalls    uint64
-	features    profile.Features
 
-	// Observability bookkeeping: the group's trace track, and the checkpoint
-	// byte counts added to the resident/spilled gauges at GoldenDone (to be
-	// subtracted again when the group closes).
-	tid         int
+	// Checkpoint byte counts added to the resident/spilled gauges at
+	// GoldenDone, subtracted again when the group closes.
 	obsResident int
 	obsSpilled  int
 }

@@ -2,6 +2,8 @@ package campaign_test
 
 import (
 	"bytes"
+	"context"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -22,13 +24,12 @@ func matrixJobs() []campaign.ScenarioJob {
 // job size or snapshot mode.
 func TestMatrixDeterministicAcrossModes(t *testing.T) {
 	run := func(workers, jobSize, snapshots int) []*campaign.Result {
-		res, err := campaign.RunMatrix(campaign.MatrixSpec{
-			Jobs:      matrixJobs(),
-			Faults:    10,
-			Workers:   workers,
-			JobSize:   jobSize,
-			Snapshots: snapshots,
-		})
+		res, err := campaign.New(
+			campaign.Faults(10),
+			campaign.Workers(workers),
+			campaign.JobSize(jobSize),
+			campaign.Snapshots(snapshots),
+		).RunMatrix(context.Background(), matrixJobs())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,22 +55,31 @@ func TestMatrixDeterministicAcrossModes(t *testing.T) {
 	}
 }
 
-// TestMatrixStreamsAndResumes runs a matrix streaming to a database buffer,
+// TestMatrixStreamsAndResumes runs a matrix streaming to a database file,
 // reloads it, and checks a resumed matrix skips everything it already has.
 func TestMatrixStreamsAndResumes(t *testing.T) {
 	jobs := matrixJobs()
-	var db bytes.Buffer
-	first, err := campaign.RunMatrix(campaign.MatrixSpec{
-		Jobs: jobs, Faults: 6, DB: &db,
-	})
+	path := t.TempDir() + "/db.jsonl"
+	st, err := campaign.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(db.String(), "\n"); got != len(jobs) {
+	first, err := campaign.New(campaign.Faults(6), campaign.WithStore(st)).RunMatrix(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(string(db), "\n"); got != len(jobs) {
 		t.Fatalf("streamed %d records, want %d", got, len(jobs))
 	}
 
-	loaded, err := campaign.ReadDB(bytes.NewReader(db.Bytes()))
+	loaded, err := campaign.ReadDB(bytes.NewReader(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,16 +97,29 @@ func TestMatrixStreamsAndResumes(t *testing.T) {
 	}
 
 	// Resume: everything already in the database, nothing new streams.
-	var db2 bytes.Buffer
-	resumed, err := campaign.RunMatrix(campaign.MatrixSpec{
-		Jobs: jobs, Faults: 6, DB: &db2, Skip: loaded,
-		Progress: func(*campaign.Result) { t.Error("progress fired for a skipped scenario") },
-	})
+	st2, err := campaign.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db2.Len() != 0 {
-		t.Errorf("resume re-streamed records: %q", db2.String())
+	defer st2.Close()
+	events := make(chan campaign.Event, 16)
+	resumed, err := campaign.New(campaign.Faults(6), campaign.WithStore(st2), campaign.WithEvents(events)).
+		RunMatrix(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(events)
+	for ev := range events {
+		if _, ok := ev.(campaign.ScenarioDone); ok {
+			t.Error("ScenarioDone fired for a skipped scenario")
+		}
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, db) {
+		t.Errorf("resume re-streamed records: %q", after)
 	}
 	for i, r := range resumed {
 		if r == nil || r.Counts != first[i].Counts {
@@ -112,7 +135,7 @@ func TestMatrixReportsScenarioError(t *testing.T) {
 		{Scenario: npb.Scenario{App: "NOPE", Mode: npb.Serial, ISA: "armv8", Cores: 1}, Seed: 1},
 		{Scenario: npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}, Seed: 2},
 	}
-	res, err := campaign.RunMatrix(campaign.MatrixSpec{Jobs: jobs, Faults: 2})
+	res, err := campaign.New(campaign.Faults(2)).RunMatrix(context.Background(), jobs)
 	if err == nil || !strings.Contains(err.Error(), "NOPE") {
 		t.Fatalf("err = %v, want unknown-app failure", err)
 	}

@@ -3,13 +3,11 @@
 // analysis read from — the phase-4 cross-layer database of the paper as an
 // interface instead of a raw map[string]*Result. The JSONL file that
 // campaigns have always streamed to is the first backend (FileStore);
-// MemStore serves tests and in-process pipelines, and StreamStore adapts
-// the legacy MatrixSpec.DB/Skip pair.
+// MemStore serves tests and in-process pipelines.
 package campaign
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -328,46 +326,3 @@ func (s *FileStore) Sync() error {
 // Close flushes and closes the backing file. The in-memory index stays
 // readable; further Puts fail.
 func (s *FileStore) Close() error { return s.f.Close() }
-
-// streamStore adapts the legacy MatrixSpec trio — a raw JSONL writer, a
-// pre-loaded skip map and a serialized progress callback — to the Store
-// interface, so the deprecated entry points run on the Engine unchanged.
-type streamStore struct {
-	memIndex
-	w        io.Writer
-	skip     map[string]*Result
-	progress func(*Result)
-}
-
-// StreamStore wraps a raw JSONL stream plus an optional pre-loaded skip
-// set as a Store. Put appends to w (when non-nil); Get consults skip
-// first, then fresh Puts. Callers that own their database file should use
-// OpenFileStore instead.
-func StreamStore(w io.Writer, skip map[string]*Result) Store {
-	return &streamStore{w: w, skip: skip}
-}
-
-func (s *streamStore) Put(r *Result) error {
-	if err := s.put(r); err != nil {
-		return err
-	}
-	if s.w != nil {
-		if err := writeRecord(s.w, r); err != nil {
-			s.mu.Lock()
-			delete(s.m, r.Key())
-			s.mu.Unlock()
-			return err
-		}
-	}
-	if s.progress != nil {
-		s.progress(r)
-	}
-	return nil
-}
-
-func (s *streamStore) Get(key string) (*Result, bool) {
-	if r, ok := s.skip[key]; ok {
-		return r, true
-	}
-	return s.memIndex.Get(key)
-}

@@ -78,29 +78,54 @@ func sortedRecords(t *testing.T, path string) []string {
 	return lines
 }
 
+// TestLoopbackClusterMatchesEngine: the cluster's records, per-run results
+// and snapshot telemetry equal the engine's at the same checkpoint setting,
+// including snapshots off, where both report no savings.
 func TestLoopbackClusterMatchesEngine(t *testing.T) {
 	jobs := compatJobs()
 
 	// Reference: the single-process engine, streaming to its own store.
-	refPath := t.TempDir() + "/engine.jsonl"
-	refStore, err := campaign.OpenFileStore(refPath)
-	if err != nil {
-		t.Fatal(err)
+	type reference struct {
+		results []*campaign.Result
+		lines   []string
 	}
-	ref, err := campaign.New(
-		campaign.Faults(compatFaults),
-		campaign.WithStore(refStore),
-	).RunMatrix(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
+	refs := map[int]reference{}
+	engine := func(t *testing.T, snapshots int) reference {
+		if r, ok := refs[snapshots]; ok {
+			return r
+		}
+		path := t.TempDir() + "/engine.jsonl"
+		st, err := campaign.OpenFileStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := campaign.New(
+			campaign.Faults(compatFaults),
+			campaign.Snapshots(snapshots),
+			campaign.WithStore(st),
+		).RunMatrix(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		refs[snapshots] = reference{res, sortedRecords(t, path)}
+		return refs[snapshots]
 	}
-	if err := refStore.Close(); err != nil {
-		t.Fatal(err)
-	}
-	refLines := sortedRecords(t, refPath)
 
-	for _, workers := range []int{1, 3} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		workers   int
+		snapshots int
+	}{
+		{"workers=1", 1, 0},
+		{"workers=3", 3, 0},
+		{"workers=2,snapshots=off", 2, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := engine(t, tc.snapshots)
+			ref, refLines := r.results, r.lines
 			path := t.TempDir() + "/dist.jsonl"
 			st, err := campaign.OpenFileStore(path)
 			if err != nil {
@@ -113,7 +138,7 @@ func TestLoopbackClusterMatchesEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			results := runCluster(t, coord, workers)
+			results := runCluster(t, coord, tc.workers, Snapshots(tc.snapshots))
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -140,6 +165,22 @@ func TestLoopbackClusterMatchesEngine(t *testing.T) {
 				if results[i].Seed != ref[i].Seed || results[i].Faults != ref[i].Faults {
 					t.Errorf("%s identity drifted: (%d,%d) != (%d,%d)", jobs[i].Key(),
 						results[i].Faults, results[i].Seed, ref[i].Faults, ref[i].Seed)
+				}
+				// Snapshot telemetry: every run's simulated and from-reset
+				// instruction counts are deterministic, so shard sums equal
+				// job sums, and snapshots off reports none at all.
+				got, want := results[i], ref[i]
+				if got.SimulatedInstr != want.SimulatedInstr || got.FromResetInstr != want.FromResetInstr ||
+					got.PrunedRuns != want.PrunedRuns {
+					t.Errorf("%s telemetry: dist {sim %d reset %d pruned %d} != engine {sim %d reset %d pruned %d}",
+						jobs[i].Key(), got.SimulatedInstr, got.FromResetInstr, got.PrunedRuns,
+						want.SimulatedInstr, want.FromResetInstr, want.PrunedRuns)
+				}
+				_, _, gotOK := got.SnapshotSavings()
+				_, _, wantOK := want.SnapshotSavings()
+				if gotOK != wantOK || wantOK != (tc.snapshots >= 0) {
+					t.Errorf("%s SnapshotSavings ok: dist %v, engine %v, snapshots %d",
+						jobs[i].Key(), gotOK, wantOK, tc.snapshots)
 				}
 			}
 		})
@@ -205,7 +246,7 @@ func TestClusterResumeFromStore(t *testing.T) {
 func TestClusterEventStream(t *testing.T) {
 	jobs := compatJobs()[:1]
 	events := make(chan campaign.Event, 256)
-	coord, err := NewCoordinator(jobs, compatFaults, ShardSize(2), WithEvents(events))
+	coord, err := NewCoordinator(jobs, compatFaults, ShardSize(1), WithEvents(events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +273,11 @@ func TestClusterEventStream(t *testing.T) {
 			}
 		}
 	}()
-	runCluster(t, coord, 2, BatchSize(1))
+	runCluster(t, coord, 2)
 	<-consumed
-	// With BatchSize(1) every fault produces one beat, and every beat is
-	// delivered before its shard completes — so before MatrixDone.
+	// With ShardSize(1) every fault is a shard and produces one beat, and
+	// every beat is delivered before its shard completes — so before
+	// MatrixDone.
 	if beats != compatFaults || maxDone != compatFaults {
 		t.Errorf("JobDone beats = %d (peak Done %d), want %d", beats, maxDone, compatFaults)
 	}

@@ -1,10 +1,11 @@
-// The worker half of the fabric: pull leases, rebuild the leased scenario
-// locally (image, golden reference, checkpoints, fault list — every one a
-// deterministic function of the scenario and seed), inject exactly the
-// leased fault index range through the checkpointed fi path, and post the
-// results back. A worker is the local campaign engine's injection pipeline
-// with the scheduling inverted: instead of feeding a worker pool from an
-// in-process matrix, each pool slot feeds itself from the coordinator.
+// The worker half of the fabric: pull leases, prepare the leased scenario
+// locally through campaign.Prepare (image, golden reference, checkpoints,
+// fault list — every one a deterministic function of the scenario and
+// seed), inject exactly the leased fault index range through
+// Prepared.Inject, and post the results back. A worker is the local
+// campaign engine's injection pipeline with the scheduling inverted:
+// instead of feeding a worker pool from an in-process matrix, each pool
+// slot feeds itself from the coordinator.
 package dist
 
 import (
@@ -20,8 +21,6 @@ import (
 	"serfi/internal/fi"
 	"serfi/internal/npb"
 	"serfi/internal/obs"
-	"serfi/internal/profile"
-	"serfi/internal/prop"
 )
 
 // Worker pulls shards from one coordinator and executes them. Construct
@@ -29,14 +28,12 @@ import (
 // the context cancels, or the coordinator stays unreachable past the retry
 // budget.
 type Worker struct {
-	cl           *Client
-	name         string
-	parallel     int
-	snapshots    int // campaign convention: 0 = default, negative = off
-	batch        int // faults per injection batch (progress-beat granularity)
-	maxOpen      int
-	samplePeriod uint64
-	spillDir     string
+	cl        *Client
+	name      string
+	parallel  int
+	snapshots int // campaign convention: 0 = default, negative = off
+	maxOpen   int
+	spillDir  string
 
 	draining atomic.Bool
 
@@ -69,17 +66,9 @@ func Snapshots(n int) WorkerOption { return func(w *Worker) { w.snapshots = n } 
 // either way.
 func CheckpointSpill(dir string) WorkerOption { return func(w *Worker) { w.spillDir = dir } }
 
-// BatchSize sets how many faults run between progress beats within one
-// shard; 0 picks campaign.DefaultJobSize.
-func BatchSize(n int) WorkerOption { return func(w *Worker) { w.batch = n } }
-
 // MaxOpen bounds how many scenario groups (golden state + checkpoints) the
 // worker caches at once; 0 picks a default of 2.
 func MaxOpen(n int) WorkerOption { return func(w *Worker) { w.maxOpen = n } }
-
-// SamplePeriod sets the golden profiling sample period; 0 picks the engine
-// default.
-func SamplePeriod(p uint64) WorkerOption { return func(w *Worker) { w.samplePeriod = p } }
 
 // NewWorker returns a worker bound to one coordinator client.
 func NewWorker(cl *Client, opts ...WorkerOption) *Worker {
@@ -98,15 +87,8 @@ func NewWorker(cl *Client, opts ...WorkerOption) *Worker {
 	if w.parallel <= 0 {
 		w.parallel = 1
 	}
-	if w.batch <= 0 {
-		w.batch = campaign.DefaultJobSize
-	}
 	if w.maxOpen <= 0 {
 		w.maxOpen = 2
-	}
-	if w.samplePeriod == 0 {
-		// The engine's default, shared so remote Features match local ones.
-		w.samplePeriod = campaign.DefaultSamplePeriod
 	}
 	return w
 }
@@ -248,22 +230,24 @@ func (w *Worker) exec(ctx context.Context, l *Lease) (CompleteRequest, error) {
 		return req, nil
 	}
 
-	// A fresh clone shares the group's immutable snapshots but carries this
-	// shard's own telemetry counters.
-	cs := g.cs.Clone()
+	// Beats every campaign.DefaultJobSize faults, like the engine's jobs.
 	t0 := time.Now()
-	runs := make([]fi.Result, 0, l.Hi-l.Lo)
-	for lo := l.Lo; lo < l.Hi; lo += w.batch {
-		hi := lo + w.batch
-		if hi > l.Hi {
-			hi = l.Hi
-		}
+	for lo := l.Lo; lo < l.Hi; lo += campaign.DefaultJobSize {
+		hi := min(lo+campaign.DefaultJobSize, l.Hi)
 		bt0 := time.Now()
-		batch, err := cs.InjectRangeContext(ctx, de.dom, g.g, de.faults, lo, hi)
+		b, err := g.prep.Inject(ctx, de.dom, de.faults, lo, hi, l.TraceProp)
 		if err != nil {
-			return req, err // cancellation mid-shard: lease expires, shard re-issued
+			if ctx.Err() != nil {
+				return req, ctx.Err() // lease expires, shard re-issued
+			}
+			req.Err = err.Error()
+			return req, nil
 		}
-		runs = append(runs, batch...)
+		req.Runs = append(req.Runs, b.Runs...)
+		req.Traces = append(req.Traces, b.Traces...)
+		req.SimulatedInstr += b.SimulatedInstr
+		req.FromResetInstr += b.FromResetInstr
+		req.PrunedRuns += b.PrunedRuns
 		// Progress beat, best-effort: a lost beat only costs display
 		// granularity on the coordinator.
 		_ = w.cl.Event(ctx, EventRequest{
@@ -277,37 +261,9 @@ func (w *Worker) exec(ctx context.Context, l *Lease) (CompleteRequest, error) {
 			Domain:   l.Domain,
 		})
 	}
-	req.Runs = runs
-	if l.TraceProp {
-		// Trace unmasked runs after the shard's injections: the tracer
-		// shares the group's immutable snapshots, so interleaving would be
-		// sound too, but batching keeps the beat cadence of the injection
-		// loop untouched.
-		traces := make([]*prop.Trace, len(runs))
-		for i, r := range runs {
-			if r.Outcome == fi.Vanished || r.Outcome == fi.ONA {
-				continue
-			}
-			tr, _, err := g.tracer.Trace(de.dom, de.faults[l.Lo+i])
-			if err != nil {
-				req.Err = fmt.Sprintf("propagation trace %v: %v", de.faults[l.Lo+i], err)
-				return req, nil
-			}
-			traces[i] = &tr
-		}
-		req.Traces = traces
-	}
-	req.Golden = campaign.GoldenSummary{
-		AppStart: g.g.AppStart,
-		AppEnd:   g.g.AppEnd,
-		Retired:  g.g.Retired,
-		Cycles:   g.g.Cycles,
-	}
-	req.Features = g.features.Map()
-	req.APICalls = g.apiCalls
-	req.SimulatedInstr, req.FromResetInstr = cs.SimulatedInstructions()
-	pruned, _ := cs.PruneStats()
-	req.PrunedRuns = int(pruned)
+	req.Golden = g.prep.Summary()
+	req.Features = g.prep.Features.Map()
+	req.APICalls = g.prep.APICalls
 	req.WallSec = time.Since(t0).Seconds()
 	// Piggyback this process's cumulative metric snapshot (fi, mach, mem,
 	// wire families) so the coordinator can serve cluster-wide /metrics.
@@ -315,11 +271,10 @@ func (w *Worker) exec(ctx context.Context, l *Lease) (CompleteRequest, error) {
 	return req, nil
 }
 
-// group is one cached scenario build: image, golden reference, checkpoint
-// set and profile metadata, shared by every shard of that (scenario, seed)
-// pair — the distributed analogue of the engine's scenario group, whose
-// fault-free phases run once. Domain entries (fault domain + full fault
-// list) hang off the group.
+// group is one cached prepared scenario, shared by every shard of that
+// (scenario, seed) pair — the distributed analogue of the engine's scenario
+// group, whose fault-free phases run once. Domain entries (fault domain +
+// full fault list) hang off the group.
 type group struct {
 	key   string
 	refs  int
@@ -328,12 +283,7 @@ type group struct {
 	ready chan struct{} // closed once built
 	err   error
 
-	g           *fi.Golden
-	cs          *fi.CheckpointSet
-	tracer      *prop.Tracer // built with the group; costs nothing until used
-	features    profile.Features
-	apiCalls    uint64
-	buildDomain func(fault.Model) (fault.Domain, error)
+	prep *campaign.Prepared
 
 	dmu  sync.Mutex
 	doms map[string]*domEntry
@@ -366,7 +316,11 @@ func (w *Worker) acquire(ctx context.Context, l *Lease) (*group, error) {
 	w.gmu.Unlock()
 
 	if build {
-		g.err = w.build(ctx, g, l)
+		var sc npb.Scenario
+		if sc, g.err = npb.ParseID(l.Scenario); g.err == nil {
+			g.prep, g.err = campaign.Prepare(ctx, sc,
+				fi.CheckpointOptions{N: w.snapshots, SpillDir: w.spillDir}, nil, 0)
+		}
 		close(g.ready)
 	}
 	select {
@@ -413,52 +367,11 @@ func (w *Worker) evictLocked() {
 		if victim == nil {
 			return
 		}
-		if victim.cs != nil {
-			victim.cs.Close() // release the spill file, if any
+		if victim.prep != nil {
+			victim.prep.Close() // release the spill file, if any
 		}
 		delete(w.groups, victim.key)
 	}
-}
-
-// build runs the fault-free phases for one scenario group, mirroring the
-// engine's golden step: profiled golden run, feature extraction, checkpoint
-// fast-forward from the unprofiled config.
-func (w *Worker) build(ctx context.Context, g *group, l *Lease) error {
-	sc, err := npb.ParseID(l.Scenario)
-	if err != nil {
-		return err
-	}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		return err
-	}
-	gcfg := cfg
-	gcfg.Profile = true
-	gcfg.SamplePeriod = w.samplePeriod
-	golden, err := fi.RunGoldenContext(ctx, img, gcfg, 0)
-	if err != nil {
-		return err
-	}
-	g.g = golden
-	g.features = profile.Extract(img, golden.Machine)
-	g.apiCalls = profile.Build(img, golden.Machine).CallsTo(profile.RuntimePrefixes...)
-
-	snapshots := w.snapshots
-	if snapshots == 0 {
-		snapshots = fi.DefaultCheckpoints
-	}
-	if snapshots < 0 {
-		snapshots = 0
-	}
-	g.cs, err = fi.BuildCheckpointsOpt(ctx, img, cfg, golden, fi.CheckpointOptions{N: snapshots, SpillDir: w.spillDir})
-	if err != nil {
-		return err
-	}
-	g.tracer = prop.NewTracer(img, cfg, golden, g.cs)
-	g.buildDomain = func(model fault.Model) (fault.Domain, error) {
-		return fi.NewDomain(model, img, cfg, golden)
-	}
-	return nil
 }
 
 // domain returns the group's entry for a lease's fault domain, drawing the
@@ -478,10 +391,7 @@ func (g *group) domain(l *Lease) (*domEntry, error) {
 	if build {
 		model, err := fault.ParseModel(l.Domain)
 		if err == nil {
-			de.dom, err = g.buildDomain(model)
-		}
-		if err == nil {
-			de.faults = fi.List(l.Seed, l.Faults, de.dom)
+			de.dom, de.faults, err = g.prep.Faults(model, l.Seed, l.Faults)
 		}
 		de.err = err
 		close(de.ready)

@@ -48,15 +48,8 @@ type Config struct {
 	RecordRuns bool
 	// Store, when set, receives streamed scenario records as they complete
 	// and supplies already-recorded campaigns for resume (matching
-	// campaigns are not re-executed). It takes precedence over DB/Skip.
+	// campaigns are not re-executed).
 	Store campaign.Store
-	// DB, when set, receives streamed scenario records as they complete.
-	// Legacy: prefer Store.
-	DB io.Writer
-	// Skip holds already-completed results from an interrupted matrix
-	// (campaign.LoadDB); matching campaigns are not re-executed.
-	// Legacy: prefer Store.
-	Skip map[string]*campaign.Result
 }
 
 // DefaultConfig uses a small per-scenario fault count suitable for a
@@ -116,16 +109,12 @@ func runScenarios(ctx context.Context, cfg Config, keep func(npb.Scenario) bool)
 			m.Order = append(m.Order, sc)
 		}
 	}
-	st := cfg.Store
-	if st == nil && (cfg.DB != nil || cfg.Skip != nil) {
-		st = campaign.StreamStore(cfg.DB, cfg.Skip)
-	}
 	opts := []campaign.Option{
 		campaign.Faults(cfg.Faults),
 		campaign.Workers(cfg.Workers),
 		campaign.Snapshots(cfg.Snapshots),
 		campaign.Models(domains...),
-		campaign.WithStore(st),
+		campaign.WithStore(cfg.Store),
 	}
 	if cfg.TraceProp {
 		opts = append(opts, campaign.TraceProp())

@@ -38,7 +38,7 @@ type CheckpointSet struct {
 	cfg   mach.Config
 	snaps []*mach.Snapshot // ascending by Retired(); a delta chain unless FullCopy
 
-	// pool recycles injection machines across InjectPoint calls (delta path
+	// pool recycles injection machines across injection runs (delta path
 	// only). A pooled machine's memory keeps its tracking base, so restoring
 	// the next fault's checkpoint rewrites just the pages that differ along
 	// the chain instead of the whole RAM image — the restore-cost win this
@@ -51,7 +51,7 @@ type CheckpointSet struct {
 	// snapshots, not the file's ownership).
 	spill *mem.Spill
 
-	// simulated accumulates retired instructions executed by Inject calls;
+	// simulated accumulates retired instructions executed by injection runs;
 	// fromReset accumulates what those runs would have retired from reset.
 	// The ratio is the engine's amortization win (reported by benchmarks).
 	simulated atomic.Uint64
@@ -78,28 +78,16 @@ type CheckpointOptions struct {
 	FullCopy bool
 }
 
-// BuildCheckpoints executes the fault-free machine once up to the last
-// checkpoint, capturing n snapshots spread over the application lifespan
-// recorded in g. The first checkpoint sits one instruction before the
-// lifespan opens so that every possible fault index has a snapshot strictly
-// below it. n <= 0 yields an empty set (every injection runs from reset).
-func BuildCheckpoints(img *cc.Image, cfg mach.Config, g *Golden, n int) (*CheckpointSet, error) {
-	return BuildCheckpointsContext(context.Background(), img, cfg, g, n)
-}
-
-// BuildCheckpointsContext is BuildCheckpoints with cancellation: the
-// fast-forward polls ctx between run slices and between snapshot captures,
-// returning ctx.Err() when cancelled. Captured snapshots are bit-identical
-// to BuildCheckpoints.
-func BuildCheckpointsContext(ctx context.Context, img *cc.Image, cfg mach.Config, g *Golden, n int) (*CheckpointSet, error) {
-	return BuildCheckpointsOpt(ctx, img, cfg, g, CheckpointOptions{N: n})
-}
-
-// BuildCheckpointsOpt is BuildCheckpointsContext with explicit options. By
-// default each checkpoint after the first is captured as a delta holding
-// only the pages dirtied since its predecessor — the fast-forwarding
-// machine's dirty bitmap is reset at every capture, so the chain falls out
-// of the run itself with no extra page comparisons beyond the dirty set.
+// BuildCheckpointsOpt executes the fault-free machine once up to the last
+// checkpoint, capturing opt.N snapshots spread over the application
+// lifespan recorded in g. The first checkpoint sits one instruction before
+// the lifespan opens so that every possible fault index has a snapshot
+// strictly below it. The fast-forward polls ctx between run slices and
+// returns ctx.Err() when cancelled. By default each checkpoint after the
+// first is captured as a delta holding only the pages dirtied since its
+// predecessor — the fast-forwarding machine's dirty bitmap is reset at
+// every capture, so the chain falls out of the run itself with no extra
+// page comparisons beyond the dirty set.
 func BuildCheckpointsOpt(ctx context.Context, img *cc.Image, cfg mach.Config, g *Golden, opt CheckpointOptions) (*CheckpointSet, error) {
 	cs := &CheckpointSet{img: img, cfg: cfg}
 	if opt.N <= 0 {
@@ -153,9 +141,9 @@ func BuildCheckpointsOpt(ctx context.Context, img *cc.Image, cfg mach.Config, g 
 }
 
 // Clone returns a set sharing this set's snapshots — immutable and safe to
-// share — but with fresh savings/prune counters, so concurrent campaigns
-// over the same scenario (one per fault domain) pay the checkpoint
-// fast-forward once yet attribute their telemetry separately. The machine
+// share — but with fresh savings/prune counters, so concurrent injection
+// batches over the same scenario pay the checkpoint fast-forward once yet
+// attribute their telemetry separately. The machine
 // pool is shared too (all clones restore from the same chain); spill-file
 // ownership is not — Close on a clone is a no-op.
 func (cs *CheckpointSet) Clone() *CheckpointSet {
@@ -231,31 +219,26 @@ func (cs *CheckpointSet) RestoreNearest(m *mach.Machine, injectAt uint64) bool {
 	return true
 }
 
-// InjectPoint runs one fault of any domain, restoring the nearest pre-fault
-// snapshot instead of booting from reset when one is available. The Result
-// is bit-identical to InjectDomain(img, cfg, g, d, p).
+// InjectPointContext runs one fault of any domain, restoring the nearest
+// pre-fault snapshot instead of booting from reset when one is available.
+// The Result is bit-identical to InjectDomain(img, cfg, g, d, p).
 //
-// On top of snapshot restarts, InjectPoint prunes converged runs: execution
-// pauses at each later checkpoint boundary, and if the faulty machine's
-// complete state is bit-identical to the fault-free snapshot there, its
-// continuation is provably the golden continuation — the run is scored
-// Vanished with the golden run's terminal numbers without simulating the
-// remaining suffix. Most masked register faults (a flipped bit that is
-// overwritten before being read) converge at the first boundary after
-// injection, which is where the bulk of the engine's simulated-instruction
-// savings comes from. Faults whose flip persists in RAM (an instruction
-// word, a data word the program never rewrites) can never converge and run
-// to completion.
-func (cs *CheckpointSet) InjectPoint(d fault.Domain, g *Golden, p Fault) Result {
-	res, _ := cs.InjectPointContext(context.Background(), d, g, p)
-	return res
-}
-
-// InjectPointContext is InjectPoint with cancellation: the run polls ctx
-// between checkpoint-boundary stages and between suffix run slices. A
-// cancelled run returns ctx.Err() with a zero Result and leaves the set's
-// telemetry counters untouched (an aborted run never counts); a completed
-// run is bit-identical to InjectPoint.
+// On top of snapshot restarts, InjectPointContext prunes converged runs:
+// execution pauses at each later checkpoint boundary, and if the faulty
+// machine's complete state is bit-identical to the fault-free snapshot
+// there, its continuation is provably the golden continuation — the run is
+// scored Vanished with the golden run's terminal numbers without
+// simulating the remaining suffix. Most masked register faults (a flipped
+// bit that is overwritten before being read) converge at the first
+// boundary after injection, which is where the bulk of the engine's
+// simulated-instruction savings comes from. Faults whose flip persists in
+// RAM (an instruction word, a data word the program never rewrites) can
+// never converge and run to completion.
+//
+// The run polls ctx between checkpoint-boundary stages and between suffix
+// run slices. A cancelled run returns ctx.Err() with a zero Result and
+// leaves the set's telemetry counters untouched (an aborted run never
+// counts).
 func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain, g *Golden, p Fault) (Result, error) {
 	var m *mach.Machine
 	injectAt := g.AppStart + p.Index
@@ -333,38 +316,8 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 	return res, nil
 }
 
-// InjectRangeContext runs the contiguous fault sublist faults[lo:hi]
-// through the set in index order and returns one Result per fault. This is
-// the shard execution primitive of the distributed fabric (internal/dist):
-// a worker that holds a lease on the index range [lo, hi) of a campaign's
-// fault list replays exactly that slice over its local CheckpointSet, and
-// because every run is independent and bit-identical to InjectPoint, the
-// concatenation of shard results equals a single-process campaign over the
-// whole list. A cancelled range returns ctx.Err() with a nil slice; the
-// set's telemetry counters record only the completed runs.
-func (cs *CheckpointSet) InjectRangeContext(ctx context.Context, d fault.Domain, g *Golden, faults []Fault, lo, hi int) ([]Result, error) {
-	if lo < 0 || hi > len(faults) || lo > hi {
-		return nil, fmt.Errorf("fi: fault range [%d, %d) outside list of %d", lo, hi, len(faults))
-	}
-	out := make([]Result, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		r, err := cs.InjectPointContext(ctx, d, g, faults[i])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// Inject runs one register fault (legacy entry point; equivalent to
-// InjectPoint with the fault.Reg domain).
-func (cs *CheckpointSet) Inject(g *Golden, f Fault) Result {
-	return cs.InjectPoint(regDomain(g, cs.cfg.ISA.Feat(), cs.cfg.Cores), g, f)
-}
-
 // SimulatedInstructions returns (executed, fromReset): retired instructions
-// actually simulated by this set's Inject calls versus what the same runs
+// actually simulated by this set's injection runs versus what the same runs
 // would have cost from reset.
 func (cs *CheckpointSet) SimulatedInstructions() (executed, fromReset uint64) {
 	return cs.simulated.Load(), cs.fromReset.Load()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"serfi/internal/fault"
 	"serfi/internal/fi"
 	"serfi/internal/npb"
 )
@@ -20,30 +19,21 @@ func TestCheckpointInjectMatchesReset(t *testing.T) {
 		{App: "EP", Mode: npb.OMP, ISA: "armv8", Cores: 2},
 	} {
 		t.Run(sc.ID(), func(t *testing.T) {
-			img, cfg, err := npb.BuildScenario(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := fi.RunGolden(img, cfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cs, err := fi.BuildCheckpoints(img, cfg, g, 6)
-			if err != nil {
-				t.Fatal(err)
-			}
+			img, cfg, g := golden(t, sc)
+			cs := checkpoints(t, img, cfg, g, 6)
 			if cs.Len() == 0 {
 				t.Fatal("no checkpoints captured")
 			}
-			faults := fi.FaultList(11, 12, g, cfg.ISA.Feat(), cfg.Cores)
+			d := registerDomain(t, img, cfg, g)
+			faults := fi.List(11, 12, d)
 			// Include the hardest edge: a fault at the first committed
 			// instruction of the lifespan and at the last.
 			faults = append(faults,
 				fi.Fault{Index: 0, Core: 0, Reg: 3, Bit: 5},
 				fi.Fault{Index: g.AppEnd - g.AppStart - 1, Core: 0, Reg: 3, Bit: 5})
 			for i, f := range faults {
-				want := fi.Inject(img, cfg, g, f)
-				got := cs.Inject(g, f)
+				want := fi.InjectDomain(img, cfg, g, d, f)
+				got := inject(t, cs, d, g, f)
 				if got != want {
 					t.Errorf("fault %d (%s): snapshot run %+v != reset run %+v", i, f, got, want)
 				}
@@ -64,14 +54,7 @@ func TestCheckpointInjectMatchesReset(t *testing.T) {
 // instead of RAM images.
 func TestCheckpointOptionsBitIdentical(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, cfg, g := golden(t, sc)
 	build := func(opt fi.CheckpointOptions) *fi.CheckpointSet {
 		opt.N = 6
 		cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, opt)
@@ -104,13 +87,13 @@ func TestCheckpointOptionsBitIdentical(t *testing.T) {
 		t.Errorf("spilled payload %d != in-RAM payload %d of the identical build", spill.SpilledBytes(), cow.MemBytes())
 	}
 
-	faults := fi.FaultList(17, 8, g, cfg.ISA.Feat(), cfg.Cores)
-	for i, f := range faults {
-		want := cow.Inject(g, f)
-		if got := full.Inject(g, f); got != want {
+	d := registerDomain(t, img, cfg, g)
+	for i, f := range fi.List(17, 8, d) {
+		want := inject(t, cow, d, g, f)
+		if got := inject(t, full, d, g, f); got != want {
 			t.Errorf("fault %d (%s): full-copy %+v != cow %+v", i, f, got, want)
 		}
-		if got := spill.Inject(g, f); got != want {
+		if got := inject(t, spill, d, g, f); got != want {
 			t.Errorf("fault %d (%s): spilled %+v != cow %+v", i, f, got, want)
 		}
 	}
@@ -132,18 +115,8 @@ func TestCheckpointOptionsBitIdentical(t *testing.T) {
 // strictly below the end of the lifespan, the first strictly below its start.
 func TestBuildCheckpointsSpansLifespan(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv7", Cores: 1}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := fi.BuildCheckpoints(img, cfg, g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, cfg, g := golden(t, sc)
+	cs := checkpoints(t, img, cfg, g, 4)
 	if cs.Len() != 4 {
 		t.Fatalf("checkpoints = %d, want 4", cs.Len())
 	}
@@ -151,46 +124,31 @@ func TestBuildCheckpointsSpansLifespan(t *testing.T) {
 		t.Error("checkpoints retained no RAM")
 	}
 	// Zero checkpoints: valid, every injection falls back to reset.
-	empty, err := fi.BuildCheckpoints(img, cfg, g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	empty := checkpoints(t, img, cfg, g, 0)
+	d := registerDomain(t, img, cfg, g)
 	f := fi.Fault{Index: 1, Core: 0, Reg: 2, Bit: 9}
-	if got, want := empty.Inject(g, f), fi.Inject(img, cfg, g, f); got != want {
+	if got, want := inject(t, empty, d, g, f), fi.InjectDomain(img, cfg, g, d, f); got != want {
 		t.Errorf("empty-set inject %+v != reset %+v", got, want)
 	}
 }
 
 // TestContextCancellation: every context-aware fi entry point returns
-// ctx.Err() promptly when the context is already cancelled, and the
-// Background-context wrappers stay bit-identical to the originals.
+// ctx.Err() promptly when the context is already cancelled, and a live
+// context reproduces the from-reset reference bit for bit.
 func TestContextCancellation(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, cfg, g := golden(t, sc)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	if _, err := fi.RunGoldenContext(cancelled, img, cfg, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("RunGoldenContext err = %v, want context.Canceled", err)
 	}
-	if _, err := fi.BuildCheckpointsContext(cancelled, img, cfg, g, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("BuildCheckpointsContext err = %v, want context.Canceled", err)
+	if _, err := fi.BuildCheckpointsOpt(cancelled, img, cfg, g, fi.CheckpointOptions{N: 4}); !errors.Is(err, context.Canceled) {
+		t.Errorf("BuildCheckpointsOpt err = %v, want context.Canceled", err)
 	}
-	cs, err := fi.BuildCheckpointsContext(context.Background(), img, cfg, g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := fi.NewDomain(fault.Reg, img, cfg, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := checkpoints(t, img, cfg, g, 4)
+	d := registerDomain(t, img, cfg, g)
 	f := fi.Fault{Index: 7, Core: 0, Reg: 2, Bit: 3}
 	if _, err := cs.InjectPointContext(cancelled, d, g, f); !errors.Is(err, context.Canceled) {
 		t.Errorf("InjectPointContext err = %v, want context.Canceled", err)
@@ -200,13 +158,10 @@ func TestContextCancellation(t *testing.T) {
 		t.Errorf("aborted run counted: total = %d", total)
 	}
 
-	// The live-context path is the plain path, bit for bit.
-	got, err := cs.InjectPointContext(context.Background(), d, g, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fi.Inject(img, cfg, g, f); got != want {
-		t.Errorf("ctx inject %+v != legacy inject %+v", got, want)
+	// The live-context path is the from-reset path, bit for bit.
+	got := inject(t, cs, d, g, f)
+	if want := fi.InjectDomain(img, cfg, g, d, f); got != want {
+		t.Errorf("ctx inject %+v != from-reset inject %+v", got, want)
 	}
 	g2, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {

@@ -104,21 +104,14 @@ func TestListExhaustedSpaceAllowsRepeats(t *testing.T) {
 }
 
 // TestFaultListMatchesLegacySampler locks golden compatibility: at seeds
-// whose streams do not collide (every realistic campaign), FaultList is
-// bit-identical to the pre-domain sampler — same index, core, register and
-// bit from the same rand stream.
+// whose streams do not collide (every realistic campaign), List over the
+// fault.Reg domain is bit-identical to the pre-domain sampler — same index,
+// core, register and bit from the same rand stream.
 func TestFaultListMatchesLegacySampler(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, cfg, g := golden(t, sc)
 	feat := cfg.ISA.Feat()
-	got := fi.FaultList(99, 64, g, feat, cfg.Cores)
+	got := fi.List(99, 64, registerDomain(t, img, cfg, g))
 	r := rand.New(rand.NewSource(99))
 	span := g.AppEnd - g.AppStart
 	for i, p := range got {
@@ -140,18 +133,8 @@ func TestFaultListMatchesLegacySampler(t *testing.T) {
 // lands in a register, a data word, an instruction word or a bit burst.
 func TestCheckpointInjectMatchesResetAllDomains(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := fi.BuildCheckpoints(img, cfg, g, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, cfg, g := golden(t, sc)
+	cs := checkpoints(t, img, cfg, g, 6)
 	for _, model := range fault.Models() {
 		d, err := fi.NewDomain(model, img, cfg, g)
 		if err != nil {
@@ -159,7 +142,7 @@ func TestCheckpointInjectMatchesResetAllDomains(t *testing.T) {
 		}
 		for i, p := range fi.List(11, 5, d) {
 			want := fi.InjectDomain(img, cfg, g, d, p)
-			got := cs.InjectPoint(d, g, p)
+			got := inject(t, cs, d, g, p)
 			if got != want {
 				t.Errorf("%s fault %d (%s): snapshot run %+v != reset run %+v", model, i, p, got, want)
 			}
@@ -172,14 +155,7 @@ func TestCheckpointInjectMatchesResetAllDomains(t *testing.T) {
 // an IMem fault can be masked (ONA) but never Vanished.
 func TestIMemFaultsLeaveTrace(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, cfg, g := golden(t, sc)
 	d, err := fi.NewDomain(fault.IMem, img, cfg, g)
 	if err != nil {
 		t.Fatal(err)
@@ -197,31 +173,22 @@ func TestIMemFaultsLeaveTrace(t *testing.T) {
 // strictly before the lifespan opens.
 func TestCheckpointsShortLifespan(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, cfg, g := golden(t, sc)
 	short := *g
 	short.AppEnd = short.AppStart + 3 // lifespan of 3 instructions, 8 checkpoints
-	cs, err := fi.BuildCheckpoints(img, cfg, &short, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := checkpoints(t, img, cfg, &short, 8)
 	if cs.Len() == 0 || cs.Len() > 4 {
 		t.Fatalf("checkpoints = %d, want 1..4 for a 3-instruction lifespan", cs.Len())
 	}
 	// Faults at the very first and the last lifespan instruction must find
 	// a strictly-earlier checkpoint and classify exactly like from-reset.
+	d := registerDomain(t, img, cfg, g)
 	for _, f := range []fi.Fault{
 		{Index: 0, Core: 0, Reg: 3, Bit: 5},
 		{Index: 2, Core: 0, Reg: 3, Bit: 5},
 	} {
-		want := fi.Inject(img, cfg, g, f)
-		got := cs.Inject(g, f)
+		want := fi.InjectDomain(img, cfg, g, d, f)
+		got := inject(t, cs, d, g, f)
 		if got != want {
 			t.Errorf("short-lifespan fault %s: snapshot run %+v != reset run %+v", f, got, want)
 		}
@@ -234,21 +201,12 @@ func TestCheckpointsShortLifespan(t *testing.T) {
 // than fall back to reset.
 func TestFirstInstructionFaultUsesSnapshot(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := fi.BuildCheckpoints(img, cfg, g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, cfg, g := golden(t, sc)
+	cs := checkpoints(t, img, cfg, g, 4)
+	d := registerDomain(t, img, cfg, g)
 	f := fi.Fault{Index: 0, Core: 0, Reg: 3, Bit: 5}
-	want := fi.Inject(img, cfg, g, f)
-	got := cs.Inject(g, f)
+	want := fi.InjectDomain(img, cfg, g, d, f)
+	got := inject(t, cs, d, g, f)
 	if got != want {
 		t.Fatalf("first-instruction fault: snapshot run %+v != reset run %+v", got, want)
 	}

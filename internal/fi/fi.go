@@ -4,10 +4,9 @@
 // classification (Vanished / ONA / OMM / UT / Hang). The fault model
 // itself is pluggable: every phase is generic over a fault.Domain — the
 // register single-bit-upset space of the paper, data words in guest RAM,
-// instruction words, or register bit bursts (internal/fault). The legacy
-// register-only entry points (RandomFault, FaultList, Inject) are thin
-// wrappers over the fault.Reg domain and remain bit-identical to the
-// pre-domain injector at the same seed.
+// instruction words, or register bit bursts (internal/fault). The fault.Reg
+// domain draws bit-identical fault lists to the pre-domain injector at the
+// same seed.
 package fi
 
 import (
@@ -17,7 +16,6 @@ import (
 
 	"serfi/internal/cc"
 	"serfi/internal/fault"
-	"serfi/internal/isa"
 	"serfi/internal/mach"
 )
 
@@ -79,14 +77,10 @@ func runCtx(ctx context.Context, m *mach.Machine, target, budget uint64) (mach.S
 	}
 }
 
-// RunGolden executes the faultless reference for an image/config pair.
-func RunGolden(img *cc.Image, cfg mach.Config, budget uint64) (*Golden, error) {
-	return RunGoldenContext(context.Background(), img, cfg, budget)
-}
-
-// RunGoldenContext is RunGolden with cancellation: the reference run polls
-// ctx every few million committed instructions and returns ctx.Err() when
-// cancelled. The machine evolution is bit-identical to RunGolden.
+// RunGoldenContext executes the faultless reference for an image/config
+// pair (phase 1). The run polls ctx every few million committed
+// instructions and returns ctx.Err() when cancelled; budget 0 picks a
+// generous cycle bound.
 func RunGoldenContext(ctx context.Context, img *cc.Image, cfg mach.Config, budget uint64) (*Golden, error) {
 	m := mach.New(cfg)
 	img.InstallTo(m)
@@ -159,22 +153,6 @@ func NewDomain(model fault.Model, img *cc.Image, cfg mach.Config, g *Golden) (fa
 	})
 }
 
-// regDomain builds the legacy register domain (panic-free by construction:
-// RunGolden guarantees a non-empty lifespan and configs have >= 1 core).
-func regDomain(g *Golden, feat isa.Features, cores int) fault.Domain {
-	d, err := fault.New(fault.Reg, fault.Env{Feat: feat, Cores: cores, Span: g.AppEnd - g.AppStart})
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// RandomFault draws a uniform register fault (§3.2.1: uniform random bit
-// location and injection time across the register file and app lifespan).
-func RandomFault(r *rand.Rand, g *Golden, feat isa.Features, cores int) Fault {
-	return regDomain(g, feat, cores).Sample(r)
-}
-
 // List is phase 2, domain-generic: n seeded faults drawn from the domain's
 // stream. Duplicate (time, location, bit) tuples are deduplicated by
 // deterministic resampling — a colliding draw is discarded and the next
@@ -196,11 +174,6 @@ func List(seed int64, n int, d fault.Domain) []Fault {
 		out = append(out, p)
 	}
 	return out
-}
-
-// FaultList is the legacy register-domain fault list (phase 2).
-func FaultList(seed int64, n int, g *Golden, feat isa.Features, cores int) []Fault {
-	return List(seed, n, regDomain(g, feat, cores))
 }
 
 // Outcome is the Cho et al. classification (§3.2.2).
@@ -245,20 +218,14 @@ type Result struct {
 // InjectDomain runs phase 3 for one fault point of any domain from machine
 // reset. The image is read-only and may be shared across goroutines; each
 // run gets a fresh machine. Campaigns that amortize the pre-fault prefix
-// across faults use CheckpointSet.InjectPoint instead; both paths produce
-// bit-identical Results.
+// across faults use CheckpointSet.InjectPointContext instead; both paths
+// produce bit-identical Results, and this one stays as their reference.
 func InjectDomain(img *cc.Image, cfg mach.Config, g *Golden, d fault.Domain, p Fault) Result {
 	m := mach.New(cfg)
 	img.InstallTo(m)
 	armFault(m, d, g, p)
 	stop := m.Run(hangBudget(g))
 	return finishFault(m, g, p, stop)
-}
-
-// Inject runs phase 3 for one register fault from machine reset (legacy
-// entry point; equivalent to InjectDomain with the fault.Reg domain).
-func Inject(img *cc.Image, cfg mach.Config, g *Golden, f Fault) Result {
-	return InjectDomain(img, cfg, g, regDomain(g, cfg.ISA.Feat(), cfg.Cores), f)
 }
 
 // hangBudget is the absolute cycle budget of one injection run.

@@ -1,25 +1,60 @@
 package fi_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"serfi/internal/cc"
+	"serfi/internal/fault"
 	"serfi/internal/fi"
+	"serfi/internal/mach"
 	"serfi/internal/npb"
 )
 
-func golden(t *testing.T, sc npb.Scenario) (*fi.Golden, npb.Scenario) {
+// golden builds a scenario and runs its golden reference.
+func golden(t *testing.T, sc npb.Scenario) (*cc.Image, mach.Config, *fi.Golden) {
 	t.Helper()
 	img, cfg, err := npb.BuildScenario(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = img
-	return g, sc
+	return img, cfg, g
+}
+
+// registerDomain returns the paper's register single-bit-upset domain over one
+// golden run.
+func registerDomain(t *testing.T, img *cc.Image, cfg mach.Config, g *fi.Golden) fault.Domain {
+	t.Helper()
+	d, err := fi.NewDomain(fault.Reg, img, cfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// checkpoints builds an n-checkpoint set with default options.
+func checkpoints(t *testing.T, img *cc.Image, cfg mach.Config, g *fi.Golden, n int) *fi.CheckpointSet {
+	t.Helper()
+	cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, fi.CheckpointOptions{N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
+
+// inject runs one fault through a checkpoint set.
+func inject(t *testing.T, cs *fi.CheckpointSet, d fault.Domain, g *fi.Golden, p fi.Fault) fi.Result {
+	t.Helper()
+	r, err := cs.InjectPointContext(context.Background(), d, g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestGoldenReference(t *testing.T) {
@@ -28,7 +63,7 @@ func TestGoldenReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +77,7 @@ func TestGoldenReference(t *testing.T) {
 		t.Error("golden stats empty")
 	}
 	// Reproducibility: a second golden run matches bit for bit.
-	g2, err := fi.RunGolden(img, cfg, 0)
+	g2, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,17 +88,11 @@ func TestGoldenReference(t *testing.T) {
 
 func TestFaultListDeterministicAndInRange(t *testing.T) {
 	sc := npb.Scenario{App: "EP", Mode: npb.Serial, ISA: "armv7", Cores: 1}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, cfg, g := golden(t, sc)
 	feat := cfg.ISA.Feat()
-	a := fi.FaultList(42, 200, g, feat, cfg.Cores)
-	b := fi.FaultList(42, 200, g, feat, cfg.Cores)
+	d := registerDomain(t, img, cfg, g)
+	a := fi.List(42, 200, d)
+	b := fi.List(42, 200, d)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("fault list not deterministic at %d", i)
@@ -83,7 +112,7 @@ func TestFaultListDeterministicAndInRange(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	sawPC, sawHighBit := false, false
 	for i := 0; i < 2000; i++ {
-		f := fi.RandomFault(r, g, feat, 1)
+		f := d.Sample(r)
 		if f.Reg == 15 {
 			sawPC = true
 		}
@@ -98,18 +127,12 @@ func TestFaultListDeterministicAndInRange(t *testing.T) {
 
 func TestInjectOutcomesSane(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults := fi.FaultList(7, 24, g, cfg.ISA.Feat(), cfg.Cores)
+	img, cfg, g := golden(t, sc)
+	d := registerDomain(t, img, cfg, g)
+	faults := fi.List(7, 24, d)
 	var counts fi.Counts
 	for _, f := range faults {
-		r := fi.Inject(img, cfg, g, f)
+		r := fi.InjectDomain(img, cfg, g, d, f)
 		counts.Add(r.Outcome)
 	}
 	if counts.Total() != len(faults) {
@@ -124,17 +147,11 @@ func TestInjectOutcomesSane(t *testing.T) {
 
 func TestInjectDeterministicReplay(t *testing.T) {
 	sc := npb.Scenario{App: "EP", Mode: npb.OMP, ISA: "armv8", Cores: 2}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, cfg, g := golden(t, sc)
 	f := fi.Fault{Index: (g.AppEnd - g.AppStart) / 3, Core: 1, Reg: 5, Bit: 17}
-	r1 := fi.Inject(img, cfg, g, f)
-	r2 := fi.Inject(img, cfg, g, f)
+	d := registerDomain(t, img, cfg, g)
+	r1 := fi.InjectDomain(img, cfg, g, d, f)
+	r2 := fi.InjectDomain(img, cfg, g, d, f)
 	if r1.Outcome != r2.Outcome || r1.Retired != r2.Retired || r1.Cycles != r2.Cycles {
 		t.Errorf("injection not replayable: %+v vs %+v", r1, r2)
 	}
@@ -142,19 +159,13 @@ func TestInjectDeterministicReplay(t *testing.T) {
 
 func TestPCFlipIsUsuallyFatalOnV7(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv7", Cores: 1}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, cfg, g := golden(t, sc)
 	// Flip a high PC bit mid-run: the program lands in unmapped space.
+	d := registerDomain(t, img, cfg, g)
 	bad := 0
 	for _, bit := range []int{20, 24, 26} {
 		f := fi.Fault{Index: (g.AppEnd - g.AppStart) / 2, Core: 0, Reg: 15, Bit: bit}
-		r := fi.Inject(img, cfg, g, f)
+		r := fi.InjectDomain(img, cfg, g, d, f)
 		if r.Outcome == fi.UT || r.Outcome == fi.Hang {
 			bad++
 		}
@@ -168,16 +179,9 @@ func TestZeroBitFaultOnDeadRegisterVanishes(t *testing.T) {
 	// Inject into a register the code never reads afterwards at the very
 	// end of the lifespan: overwhelmingly Vanished/ONA.
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, cfg, g := golden(t, sc)
 	f := fi.Fault{Index: g.AppEnd - g.AppStart - 2, Core: 0, Reg: 27, Bit: 3}
-	r := fi.Inject(img, cfg, g, f)
+	r := fi.InjectDomain(img, cfg, g, registerDomain(t, img, cfg, g), f)
 	if r.Outcome == fi.UT || r.Outcome == fi.Hang || r.Outcome == fi.OMM {
 		t.Errorf("late dead-register fault escalated to %v", r.Outcome)
 	}

@@ -1,6 +1,7 @@
 package prop_test
 
 import (
+	"context"
 	"testing"
 
 	"serfi/internal/fault"
@@ -19,7 +20,7 @@ func scenario(t *testing.T) (*prop.Tracer, *fi.CheckpointSet, fault.Domain, *fi.
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,12 +28,22 @@ func scenario(t *testing.T) (*prop.Tracer, *fi.CheckpointSet, fault.Domain, *fi.
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := fi.BuildCheckpoints(img, cfg, g, 4)
+	cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, fi.CheckpointOptions{N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	faults := fi.List(99, 16, d)
 	return prop.NewTracer(img, cfg, g, cs), cs, d, g, faults
+}
+
+// inject runs one fault through the checkpoint set, as a campaign does.
+func inject(t *testing.T, cs *fi.CheckpointSet, d fault.Domain, g *fi.Golden, p fi.Fault) fi.Result {
+	t.Helper()
+	r, err := cs.InjectPointContext(context.Background(), d, g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestTracerMatchesCampaignOutcome is the differential pin: re-running an
@@ -44,7 +55,7 @@ func TestTracerMatchesCampaignOutcome(t *testing.T) {
 	tr, cs, d, g, faults := scenario(t)
 	traced, diverged := 0, 0
 	for _, p := range faults {
-		r1 := cs.InjectPoint(d, g, p)
+		r1 := inject(t, cs, d, g, p)
 		if r1.Outcome == fi.Vanished || r1.Outcome == fi.ONA {
 			continue // campaigns only trace unmasked runs
 		}
@@ -69,7 +80,7 @@ func TestTracerMatchesCampaignOutcome(t *testing.T) {
 		}
 		// Non-perturbation: the injection replays bit-identically after
 		// the trace touched the shared checkpoint set.
-		if r2 := cs.InjectPoint(d, g, p); r2 != r1 {
+		if r2 := inject(t, cs, d, g, p); r2 != r1 {
 			t.Errorf("fault %v: injection perturbed by tracing: %+v != %+v", p, r2, r1)
 		}
 		traced++
@@ -87,7 +98,7 @@ func TestTracerMatchesCampaignOutcome(t *testing.T) {
 func TestTracerDeterministic(t *testing.T) {
 	tr, cs, d, g, faults := scenario(t)
 	for _, p := range faults {
-		if r := cs.InjectPoint(d, g, p); r.Outcome == fi.Vanished || r.Outcome == fi.ONA {
+		if r := inject(t, cs, d, g, p); r.Outcome == fi.Vanished || r.Outcome == fi.ONA {
 			continue
 		}
 		t1, o1, err := tr.Trace(d, p)
@@ -117,7 +128,7 @@ func TestTracerWithoutCheckpoints(t *testing.T) {
 	}
 	cold := prop.NewTracer(img, cfg, g, nil)
 	for _, p := range faults {
-		if r := cs.InjectPoint(d, g, p); r.Outcome == fi.Vanished || r.Outcome == fi.ONA {
+		if r := inject(t, cs, d, g, p); r.Outcome == fi.Vanished || r.Outcome == fi.ONA {
 			continue
 		}
 		t1, o1, err := tr.Trace(d, p)
@@ -145,7 +156,7 @@ func TestTracerCacheDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +164,13 @@ func TestTracerCacheDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := fi.BuildCheckpoints(img, cfg, g, 4)
+	cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, fi.CheckpointOptions{N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := prop.NewTracer(img, cfg, g, cs)
 	for _, p := range fi.List(7, 3, d) {
-		r := cs.InjectPoint(d, g, p)
+		r := inject(t, cs, d, g, p)
 		trace, outcome, err := tr.Trace(d, p)
 		if err != nil {
 			t.Fatalf("trace %v: %v", p, err)
